@@ -1,0 +1,1 @@
+"""Pursuit benchmark: see README.md in this directory."""
